@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/parse.hpp"
+#include "core/reduce.hpp"
 
 namespace quasar::check {
 
@@ -69,17 +70,6 @@ Real phase_tolerance(std::size_t ops, Real eps) {
 namespace {
 
 template <typename Scalar>
-Real norm_squared_impl(const std::complex<Scalar>* data, Index count) {
-  Real total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(count); ++i) {
-    total += static_cast<Real>(data[i].real()) * data[i].real() +
-             static_cast<Real>(data[i].imag()) * data[i].imag();
-  }
-  return total;
-}
-
-template <typename Scalar>
 void require_finite_impl(const std::complex<Scalar>* data, Index count,
                          const char* site) {
   // Exceptions cannot leave an OpenMP region, so the parallel pass only
@@ -102,11 +92,11 @@ void require_finite_impl(const std::complex<Scalar>* data, Index count,
 }  // namespace
 
 Real norm_squared(const std::complex<double>* data, Index count) {
-  return norm_squared_impl(data, count);
+  return ordered_norm_squared(data, count);
 }
 
 Real norm_squared(const std::complex<float>* data, Index count) {
-  return norm_squared_impl(data, count);
+  return ordered_norm_squared(data, count);
 }
 
 void require_finite(const std::complex<double>* data, Index count,

@@ -84,8 +84,9 @@ Real state_tolerance(int num_qubits, std::size_t ops, Real eps = kEps64);
 /// `ops` unit-modulus multiplications (random-walk accumulation).
 Real phase_tolerance(std::size_t ops, Real eps = kEps64);
 
-/// Squared norm of a raw amplitude buffer (OpenMP reduction). The guards
-/// need this for buffers that are not wrapped in a StateVector.
+/// Squared norm of a raw amplitude buffer (fixed-order ordered_sum, so
+/// the same bits at any thread count). The guards need this for buffers
+/// that are not wrapped in a StateVector.
 Real norm_squared(const std::complex<double>* data, Index count);
 Real norm_squared(const std::complex<float>* data, Index count);
 

@@ -10,6 +10,7 @@
 
 #include "core/aligned.hpp"
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 #include "fp32/kernels_f32.hpp"
 #include "kernels/permute.hpp"
 #include "obs/histogram.hpp"
@@ -21,15 +22,8 @@ namespace quasar {
 
 Real CommunicatorF::norm_squared() {
   Real total = 0.0;
-  const int ranks = num_ranks();
-  const std::int64_t count = static_cast<std::int64_t>(local_size());
-  for (int r = 0; r < ranks; ++r) {
-    const AmplitudeF* data = slice(r);
-#pragma omp parallel for schedule(static) reduction(+ : total)
-    for (std::int64_t i = 0; i < count; ++i) {
-      total += static_cast<Real>(data[i].real()) * data[i].real() +
-               static_cast<Real>(data[i].imag()) * data[i].imag();
-    }
+  for (int r = 0; r < num_ranks(); ++r) {
+    total += ordered_norm_squared(slice(r), local_size());
   }
   return total;
 }

@@ -13,6 +13,7 @@
 #include "ckpt/crc32c.hpp"
 #include "core/bits.hpp"
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 #include "obs/histogram.hpp"
 #include "obs/names.hpp"
 #include "obs/progress.hpp"
@@ -499,17 +500,8 @@ StateVectorF DistributedSimulatorF::gather() const {
 Real DistributedSimulatorF::entropy() const {
   QUASAR_OBS_SPAN("measure", "entropy");
   Real total = 0.0;
-  const std::int64_t count = static_cast<std::int64_t>(local_size());
   for (int r = 0; r < num_ranks(); ++r) {
-    const AmplitudeF* data = comm().slice(r);
-    Real partial = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : partial)
-    for (std::int64_t i = 0; i < count; ++i) {
-      const Real p = static_cast<Real>(data[i].real()) * data[i].real() +
-                     static_cast<Real>(data[i].imag()) * data[i].imag();
-      if (p > 0.0) partial -= p * std::log(p);
-    }
-    total += partial;
+    total += ordered_entropy(comm().slice(r), local_size());
   }
   return total;
 }

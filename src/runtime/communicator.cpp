@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 #include "kernels/prepared_gate.hpp"
 #include "runtime/proc_transport.hpp"
 
@@ -21,16 +22,12 @@ TransportKind transport_from_env(TransportKind fallback) {
 }
 
 Real Communicator::norm_squared() {
-  // Identical reduction loop to VirtualCluster::norm_squared, run at the
-  // root over slice() on every backend => bit-identical across
-  // transports for the same thread count.
+  // Same fixed-order reduction as VirtualCluster::norm_squared, run at
+  // the root over slice() on every backend => bit-identical across
+  // transports and thread counts.
   Real total = 0.0;
-  const int ranks = num_ranks();
-  const std::int64_t count = static_cast<std::int64_t>(local_size());
-  for (int r = 0; r < ranks; ++r) {
-    const Amplitude* data = slice(r);
-#pragma omp parallel for schedule(static) reduction(+ : total)
-    for (std::int64_t i = 0; i < count; ++i) total += std::norm(data[i]);
+  for (int r = 0; r < num_ranks(); ++r) {
+    total += ordered_norm_squared(slice(r), local_size());
   }
   return total;
 }

@@ -96,8 +96,8 @@ class Communicator {
   virtual void write_slice(int rank, const Amplitude* data) = 0;
 
   /// Total squared norm across ranks. Computed at the root over slice()
-  /// with the same reduction loop on every backend, so the result is
-  /// bit-identical across transports.
+  /// with the same fixed-order sum on every backend, so the result is
+  /// bit-identical across transports and thread counts.
   Real norm_squared();
 
   /// Communication counters. Virtual: the cluster's counters. Proc: the

@@ -11,6 +11,7 @@
 #include "ckpt/crc32c.hpp"
 #include "core/bits.hpp"
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 #include "obs/names.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -636,16 +637,9 @@ std::vector<Index> DistributedSimulator::sample(int count, Rng& rng) const {
 Real DistributedSimulator::entropy() const {
   QUASAR_OBS_SPAN("measure", "entropy");
   Real total = 0.0;
-  const Index size = comm().local_size();
   for (int r = 0; r < comm().num_ranks(); ++r) {
-    const Amplitude* data = comm().slice(r);
-    Real partial = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : partial)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(size); ++i) {
-      const Real p = std::norm(data[i]);
-      if (p > 0.0) partial -= p * std::log(p);
-    }
-    total += partial;  // the "final reduction" of Sec. 4.2.2
+    // the "final reduction" of Sec. 4.2.2, in a fixed order
+    total += ordered_entropy(comm().slice(r), comm().local_size());
   }
   return total;
 }

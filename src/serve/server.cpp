@@ -31,6 +31,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// How long stop() lets connections flush their final lines before it
+/// tears down the write side of whatever is still open.
+constexpr std::chrono::seconds kDrainGrace{2};
+
 /// Wire messages are one line each; embedded newlines would desync the
 /// protocol.
 std::string one_line(std::string text) {
@@ -142,9 +146,23 @@ void JobServer::stop() {
 
   std::vector<std::thread> connections;
   {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
+    std::unique_lock<std::mutex> lock(connections_mutex_);
+    // Every job is terminal now that the workers are joined. Shutting
+    // down only the read side lets a streaming thread still write its
+    // final RESULT/DONE or ERROR line (the latter names the kept
+    // checkpoint) before its next read sees EOF; idle readers see EOF
+    // at once.
     for (const int fd : connection_fds_) {
-      ::shutdown(fd, SHUT_RDWR);
+      ::shutdown(fd, SHUT_RD);
+    }
+    // A client that stopped reading can block that write indefinitely:
+    // after a grace period the write side goes too.
+    const bool drained = connections_cv_.wait_for(
+        lock, kDrainGrace, [this] { return connection_fds_.empty(); });
+    if (!drained) {
+      for (const int fd : connection_fds_) {
+        ::shutdown(fd, SHUT_RDWR);
+      }
     }
     connections.swap(connection_threads_);
   }
@@ -273,6 +291,7 @@ void JobServer::connection_loop(int fd) {
         std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
         connection_fds_.end());
   }
+  connections_cv_.notify_all();
 }
 
 void JobServer::reject(LineChannel& channel, const std::string& reason) {

@@ -119,8 +119,8 @@ class JobServer {
 
   /// Graceful shutdown (idempotent): stops accepting, preempts running
   /// jobs at their next stage boundary (checkpoints committed, writers
-  /// drained), fails queued jobs with "server shutting down", and joins
-  /// every thread.
+  /// drained), fails queued jobs with "server shutting down", lets each
+  /// connection deliver its job's final line, and joins every thread.
   void stop();
 
   /// Serves until `external_flag` (e.g. quasar::shutdown_flag()) or a
@@ -198,6 +198,7 @@ class JobServer {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
   std::mutex connections_mutex_;
+  std::condition_variable connections_cv_;  // a connection deregistered
   std::vector<std::thread> connection_threads_;
   /// fds of live connections only: each connection thread deregisters
   /// its fd before closing it, so stop() never shutdown()s a kernel fd

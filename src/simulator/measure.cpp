@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/bits.hpp"
+#include "core/reduce.hpp"
 #include "obs/trace.hpp"
 
 namespace quasar {
@@ -11,27 +12,15 @@ namespace quasar {
 Real probability_of_one(const StateVector& state, int bit_location) {
   QUASAR_CHECK(bit_location >= 0 && bit_location < state.num_qubits(),
                "probability_of_one: bit-location out of range");
-  const Index n = state.size();
   const Index mask = index_pow2(bit_location);
   const Amplitude* data = state.data();
-  Real total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if (static_cast<Index>(i) & mask) total += std::norm(data[i]);
-  }
-  return total;
+  return ordered_sum(state.size(), [data, mask](std::int64_t i) {
+    return (static_cast<Index>(i) & mask) ? std::norm(data[i]) : 0.0;
+  });
 }
 
 Real entropy(const StateVector& state) {
-  const Index n = state.size();
-  const Amplitude* data = state.data();
-  Real total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    const Real p = std::norm(data[i]);
-    if (p > 0.0) total -= p * std::log(p);
-  }
-  return total;
+  return ordered_entropy(state.data(), state.size());
 }
 
 Real porter_thomas_entropy(int num_qubits) {

@@ -18,7 +18,8 @@ namespace quasar {
 Real probability_of_one(const StateVector& state, int bit_location);
 
 /// Shannon entropy -sum p_i ln p_i of the full output distribution
-/// (natural log, like the paper). Parallel reduction over all amplitudes.
+/// (natural log, like the paper). Fixed-order parallel sum over all
+/// amplitudes (core/reduce.hpp): the same bits at any thread count.
 Real entropy(const StateVector& state);
 
 /// Entropy a Porter–Thomas (exponential) distribution over 2^n outcomes

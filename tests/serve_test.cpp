@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <sstream>
@@ -698,18 +699,22 @@ TEST(JobServer, GracefulStopCheckpointsInFlightJob) {
     serve::ServeClient client(server.endpoint());
     outcome = client.submit(spec, circuit_text(circuit),
                             [&stage](const std::string& status) {
-                              if (status.find("state=running") !=
-                                  std::string::npos) {
-                                stage.fetch_add(1);
+                              const std::size_t at = status.find("stage=");
+                              if (at != std::string::npos &&
+                                  status.find("state=running") !=
+                                      std::string::npos) {
+                                stage.store(std::atoi(status.c_str() + at + 6));
                               }
                             });
   });
+  // Wait until a stage has completed: a stop() that lands before stage 0
+  // starts rightly commits cursor 0, which is not the drain under test.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (stage.load() < 1 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  ASSERT_GE(stage.load(), 1);
+  ASSERT_GE(stage.load(), 1) << "job never reported a completed stage";
 
   server.stop();  // preempts the run at its next stage boundary
   submit_thread.join();

@@ -8,6 +8,7 @@
 /// so kill/resume works across process boundaries.
 #include <gtest/gtest.h>
 
+#include <omp.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 
@@ -146,8 +147,8 @@ TEST_P(CrossTransportParity, StateSamplesAndStatsBitExact) {
   EXPECT_EQ(std::memcmp(sv.data(), sp.data(), sv.size() * sizeof(Amplitude)),
             0);
 
-  // Root-side reductions use the same loops over slices on both
-  // transports: exact equality, not tolerance.
+  // Root-side reductions run the same fixed-order sum over slices on
+  // both transports: exact equality, not tolerance.
   EXPECT_EQ(virt.norm_squared(), proc.norm_squared());
   EXPECT_EQ(virt.entropy(), proc.entropy());
 
@@ -371,6 +372,61 @@ TEST(CrossTransportParityF32, StateAndStatsBitExact) {
                 0)
           << "n=" << n << " l=" << l << " rank " << r;
     }
+  }
+}
+
+// ------------------------------------------------ thread-count independence
+
+/// Sets the OpenMP thread count for its lifetime, then restores it.
+class ScopedOmpThreads {
+ public:
+  explicit ScopedOmpThreads(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ScopedOmpThreads() { omp_set_num_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
+TEST(FixedOrderReduction, NormAndEntropyIgnoreThreadCount) {
+  // 4 ranks x 2^14 amplitudes: several reduction chunks per slice, so a
+  // thread-dependent combination order would show on every run.
+  const int n = 16, l = 14;
+  const Circuit c = random_circuit(n, 10 * n, 5);
+  ScheduleOptions o;
+  o.num_local = l;
+  o.kmax = 3;
+  const Schedule schedule = make_schedule(c, o);
+
+  DistributedSimulator sim(n, l);
+  DistributedSimulatorF sim_f(n, l);
+  sim.init_uniform();
+  sim_f.init_uniform();
+  sim.run(c, schedule);
+  sim_f.run(c, schedule);
+  const StateVector gathered = sim.gather();
+  const StateVectorF gathered_f = sim_f.gather();
+
+  struct Values {
+    Real norm, entropy, norm_f, entropy_f, gathered_norm, gathered_norm_f;
+  };
+  const auto take = [&](int threads) {
+    const ScopedOmpThreads scope(threads);
+    return Values{sim.norm_squared(),   sim.entropy(),
+                  sim_f.norm_squared(), sim_f.entropy(),
+                  gathered.norm_squared(), gathered_f.norm_squared()};
+  };
+  const Values serial = take(1);
+  for (const int threads : {2, 4}) {
+    const Values v = take(threads);
+    EXPECT_EQ(v.norm, serial.norm) << threads << " threads";
+    EXPECT_EQ(v.entropy, serial.entropy) << threads << " threads";
+    EXPECT_EQ(v.norm_f, serial.norm_f) << threads << " threads";
+    EXPECT_EQ(v.entropy_f, serial.entropy_f) << threads << " threads";
+    EXPECT_EQ(v.gathered_norm, serial.gathered_norm) << threads << " threads";
+    EXPECT_EQ(v.gathered_norm_f, serial.gathered_norm_f)
+        << threads << " threads";
   }
 }
 
